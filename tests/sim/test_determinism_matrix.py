@@ -2,6 +2,12 @@
 
 Three layers of replay guarantee, strongest first:
 
+0. **Golden outcomes** — every full-link cell of
+   ``OUTCOME_CELLS`` must reproduce the bit-exact iteration times (and
+   their outcome digest) pinned in ``golden_outcomes.json``.  This is
+   what a user observes; it must survive any host-side rewrite,
+   including one that changes the event schedule
+   (``tools/capture_golden_outcomes.py``).
 1. **Golden digests** — every invariant-checked cell of the
    ranks x streams x faults matrix must reproduce the event-sequence
    digest pinned in ``golden_digests.json``.  This is cross-*commit*
@@ -26,14 +32,21 @@ import pathlib
 import pytest
 
 from repro.harness.determinism import (
+    OUTCOME_CELLS,
     diagnosis_probe,
     diagnosis_probe_key,
+    outcome_digest,
     probe_key,
+    run_outcome_probe,
     run_probe,
 )
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_digests.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
+
+GOLDEN_OUTCOMES_PATH = pathlib.Path(__file__).parent / \
+    "golden_outcomes.json"
+GOLDEN_OUTCOMES = json.loads(GOLDEN_OUTCOMES_PATH.read_text())
 
 GOLDEN_FINDINGS_PATH = pathlib.Path(__file__).parent / \
     "golden_findings.json"
@@ -69,6 +82,31 @@ MATRIX = [
 def cell_id(cell):
     return probe_key(cell["ranks"], cell["streams"], cell["faults"],
                      True, 0, cell.get("algorithm", "ring"))
+
+
+class TestGoldenOutcomes:
+    @pytest.mark.parametrize("cell", OUTCOME_CELLS,
+                             ids=[cell.key for cell in OUTCOME_CELLS])
+    def test_outcome_matches_golden(self, cell):
+        golden = GOLDEN_OUTCOMES[cell.key]
+        probe = run_outcome_probe(cell)
+        assert list(probe.iteration_times_s) == golden["iteration_times_s"]
+        assert probe.digest == golden["outcome_digest"], (
+            f"{cell.key}: simulated outcome diverged from the pinned "
+            f"golden — if the model change is intentional, regenerate "
+            f"with tools/capture_golden_outcomes.py"
+        )
+
+    def test_golden_file_covers_outcome_cells(self):
+        assert sorted(GOLDEN_OUTCOMES) == sorted(
+            cell.key for cell in OUTCOME_CELLS)
+
+    def test_digest_is_bit_exact(self):
+        times = [0.25, 0.5]
+        nudged = [0.25, 0.5000000000000001]  # one ulp up
+        assert outcome_digest(times) == outcome_digest(list(times))
+        assert outcome_digest(times) != outcome_digest(nudged)
+        assert outcome_digest(times) != outcome_digest(times, "abc")
 
 
 class TestGoldenDigests:
