@@ -27,6 +27,7 @@ from repro.core.elastic import EpochTransition
 from repro.models.base import ModelSpec
 from repro.models.zoo import get_model
 from repro.sim.faults import FaultInjector, FaultPlan
+from repro.sim.kernel import Simulator
 from repro.sim.tracing import Trace
 from repro.sim.transport import TransportModel
 from repro.sim.tcp import TCP
@@ -393,10 +394,15 @@ def run_fault_injected_training(
     batch = batch_per_gpu or spec.default_batch_size
     run_trace = trace or Trace(enabled=True, keep_spans=True)
 
+    # The simulator never reads the environment flag itself: the engine
+    # attaches the checker at warm-up when ``check_invariants`` (or the
+    # config, which defaults to the flag) asks for it, so the flag and
+    # the explicit argument yield the same event digest.
     ctx = build_train_context(
         spec, backend, num_gpus, batch, transport=transport,
         nic_bandwidth_bps=nic_bandwidth_bps, gpus_per_node=gpus_per_node,
-        trace=run_trace, representative=False, obs=obs)
+        trace=run_trace, representative=False,
+        sim=Simulator(check_invariants=False), obs=obs)
     sim = ctx.sim
     injector = FaultInjector(sim, ctx.cluster, ctx.network, trace=run_trace)
     injector.arm(plan)
