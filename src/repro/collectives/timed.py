@@ -23,7 +23,7 @@ from repro.collectives.planner import PLANNER_ALGORITHMS, CollectivePlanner
 from repro.obs import NETWORK_RANK, Observability
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
-from repro.sim.network import FluidNetwork, Link
+from repro.sim.network import FlowBundle, FluidNetwork, Link
 from repro.sim.topology import Cluster
 from repro.sim.tracing import Trace
 
@@ -31,42 +31,6 @@ from repro.sim.tracing import Trace
 #: schedules (paper Section V-B) plus the topology-synthesized planner
 #: backends (halving-doubling, multi-tree, in-network aggregation).
 ALGORITHMS = ("ring", "hierarchical") + PLANNER_ALGORITHMS
-
-#: Minimum same-instant flow fan-out before a collective inserts its
-#: flows through the batched :meth:`~repro.sim.network.FluidNetwork.
-#: start_flows` path (one rate reallocation for the whole batch) instead
-#: of one :meth:`start_flow` call per flow.  Batching preserves every
-#: simulated completion time but thins the event schedule (superseded
-#: intermediate wakeups are elided), so it is gated to the scale where
-#: the churn actually hurts: a full-link ring at >= 8 nodes fans out
-#: >= 16 flows per unit.  Every config whose replay digest is pinned by
-#: ``tests/sim/golden_digests.json`` (2–32 ranks, <= 4 nodes full-link,
-#: or representative mode's 2 flows) stays on the per-flow path and
-#: keeps its pre-optimisation event schedule bit-for-bit.
-AGGREGATE_MIN_FLOWS = 16
-
-#: Node count from which the hierarchical algorithm bundles the ``g``
-#: parallel inter-node rings of one hop into a single weighted flow
-#: (``weight=g``: g fair shares, per-stream cap, g× the bytes).  The g
-#: rings share identical rate trajectories by symmetry, so the bundle
-#: completes at the same instant up to float rounding; small clusters
-#: keep per-ring flows so their event schedules stay bit-identical to
-#: the pre-aggregation kernel.
-WEIGHTED_RING_MIN_NODES = 16
-
-#: Node count from which a symmetric same-instant fan-out (one identical
-#: flow per node pair on pairwise-disjoint links) enters the fluid
-#: network as a single bundled :class:`~repro.sim.network.GroupFlow`
-#: solver entity per uniform run, via :meth:`~repro.sim.network.
-#: FluidNetwork.start_flow_group`.  Bundling is *exact* — a bundled
-#: member's links carry nothing but aligned bundle members, so the
-#: representative's rate trajectory is every member's — but it thins the
-#: event schedule (one completion event and one wakeup stream per run
-#: instead of per flow), so like ``AGGREGATE_MIN_FLOWS`` it is gated far
-#: above every pinned golden-digest config (<= 32 ranks / 4 nodes).
-#: This is the lever that takes 1024–4096-rank steps from thousands of
-#: flow objects per step to a couple dozen solver entities.
-RING_BUNDLE_MIN_NODES = 64
 
 #: Device-wide synchronization between the hierarchical algorithm's three
 #: phases.  Every GPU of a node must finish phase k before phase k+1 may
@@ -85,25 +49,23 @@ class _WirePlan:
     pattern every launch — one NIC hop per node plus the NVLink fabrics
     — and the pattern depends only on the (immutable) topology and the
     static per-node stream caps.  Building it per call costs O(nodes)
-    Python work per collective unit, which at 1024–4096 ranks dominates
-    the simulated step; this plan is built once per collectives
-    instance instead.  ``mode`` records the launch path decided by the
-    same thresholds the per-call path applied: ``"flow"`` (per-flow
-    insertion — every golden-digest config), ``"batch"`` (one batched
-    allocator pass), or ``"bundle"`` (one solver entity per uniform run
-    via cached :class:`~repro.sim.network.FlowBundle` handles).  Caps
-    are stored unscaled; launches multiply by their ``cap_scale``.
+    Python work per collective unit, so the plan is built once per
+    collectives instance.  ``specs`` holds ``(links, cap, weight)`` per
+    flow; ``runs`` holds one cached :class:`~repro.sim.network.
+    FlowBundle` handle per uniform run (see
+    :meth:`TimedCollectives._bundle_runs`), or ``None`` when the
+    structure cannot bundle and launches take one batched
+    ``start_flows`` call.  Caps are stored unscaled; launches multiply
+    by their ``cap_scale``.
     """
 
-    __slots__ = ("mode", "specs", "entries", "slowest_base")
+    __slots__ = ("specs", "runs", "slowest_base")
 
-    def __init__(self, mode: str,
-                 specs: list[tuple[list[Link], float | None, int]],
-                 entries: list[tuple[object, float | None, int]] | None,
+    def __init__(self, specs: list[tuple[list[Link], float | None, int]],
+                 runs: list[tuple[FlowBundle, float | None, int]] | None,
                  slowest_base: float | None) -> None:
-        self.mode = mode
         self.specs = specs
-        self.entries = entries
+        self.runs = runs
         self.slowest_base = slowest_base
 
 
@@ -273,16 +235,12 @@ class TimedCollectives:
             # flows — a single-worker "broadcast" is a no-op, not an
             # NVLink transfer of the full payload to itself.
             return self.sim.timeout(0.0)
-        m = self.cluster.num_nodes
-        if m == 1:
-            flow = self.network.start_flow(
-                [self.cluster.nvlink[0]], size_bytes)
-            return flow
-        flows = [self.network.start_flow(
-            hop, size_bytes,
-            rate_cap_bps=self.cluster.stream_cap_bps(src_node))
-            for src_node, hop in self._nic_hops()]
-        return self.sim.all_of(flows)
+        if self.cluster.num_nodes == 1:
+            specs = [([self.cluster.nvlink[0]], size_bytes, None, 1)]
+        else:
+            specs = [(hop, size_bytes, self.cluster.stream_cap_bps(src_node),
+                      1) for src_node, hop in self._nic_hops()]
+        return self.sim.all_of(self._launch(specs, label="broadcast"))
 
     def alltoall(self, size_bytes: float) -> Event:
         """Timed all-to-all: each worker exchanges ``size_bytes`` split
@@ -374,9 +332,25 @@ class TimedCollectives:
                 label: str | None = None) -> list[Event]:
         """Start one flow per ``(links, bytes, cap, weight)`` spec.
 
-        Large fan-outs go through the batched allocator path; small ones
-        keep per-flow insertion (see ``AGGREGATE_MIN_FLOWS``).  ``label``
-        stamps every launched flow with its algorithm for telemetry.
+        ``label`` stamps every launched flow with its algorithm for
+        telemetry.
+        """
+        return self._start(self._bundle_runs(specs), specs, label)
+
+    def _start(self, groups: list[tuple[FlowBundle, float, float | None,
+                                        int]] | None,
+               specs: t.Sequence[tuple[t.Sequence[Link], float,
+                                       float | None, int]],
+               label: str | None) -> list[Event]:
+        """The single launch path of every timed collective.
+
+        Each ``(bundle, bytes, cap, weight)`` group enters the network
+        through :meth:`~repro.sim.network.FluidNetwork.start_flow_group`,
+        which fuses it into one solver entity when its claim channel
+        accepts it and falls back to per-member flows otherwise; with no
+        groups, ``specs`` enter in one batched ``start_flows`` call.
+        Either way every flow's rate trajectory, and hence every
+        completion time, is the one per-flow insertion would produce.
         """
         network = self.network
         previous = network.flow_label
@@ -386,50 +360,42 @@ class TimedCollectives:
         if self.job is not None:
             network.flow_job = self.job
         try:
-            if len(specs) >= AGGREGATE_MIN_FLOWS:
-                runs = self._uniform_runs(specs)
-                if runs is not None:
-                    return [network.start_flow_group(members, size_bytes,
-                                                     rate_cap_bps=cap,
-                                                     weight=weight)
-                            for members, size_bytes, cap, weight in runs]
+            if groups is None:
                 return network.start_flows(specs)
-            return [network.start_flow(links, size_bytes,
-                                       rate_cap_bps=cap, weight=weight)
-                    for links, size_bytes, cap, weight in specs]
+            return [network.start_flow_group(handle, size_bytes,
+                                             rate_cap_bps=cap,
+                                             weight=weight)
+                    for handle, size_bytes, cap, weight in groups]
         finally:
             network.flow_label = previous
             network.flow_job = previous_job
 
-    @staticmethod
-    def _uniform_runs(specs: t.Sequence[tuple[t.Sequence[Link], float,
-                                              float | None, int]]
-                      ) -> list[tuple[list[t.Sequence[Link]], float,
-                                      float | None, int]] | None:
-        """Partition a launch into bundleable uniform runs, or ``None``.
+    def _bundle_runs(self, specs: t.Sequence[tuple]) -> list[tuple] | None:
+        """Partition a launch into bundled uniform runs, or ``None``.
 
         A *run* is a maximal stretch of consecutive specs sharing
-        (bytes, cap, weight) — e.g. a ring launch is one run of NIC hops
-        followed by one run of NVLink fabrics.  Bundling applies only
-        when **every** run reaches ``RING_BUNDLE_MIN_NODES`` members:
-        mixing bundles with loose flows in one launch would land the
-        loose flows on freshly claimed links and split the bundles right
-        back apart.  Link-level exactness (disjointness, identical
-        capacity profiles, unoccupied links) is re-checked per run by
-        :meth:`~repro.sim.network.FluidNetwork.start_flow_group`, which
-        falls back to per-member flows when it does not hold.
+        ``spec[1:]`` (bytes, cap, weight) — e.g. a ring launch is one
+        run of NIC hops followed by one run of NVLink fabrics.  Returns
+        ``[(FlowBundle, *spec[1:]), ...]`` when
+        :meth:`~repro.sim.network.FluidNetwork.bundle` accepts **every**
+        run's structure (>= 2 pairwise-disjoint, equal-length members):
+        a loose run beside bundled ones could land on freshly claimed
+        links and split them right back apart.
         """
-        runs: list[tuple[list[t.Sequence[Link]], float,
-                         float | None, int]] = []
-        for links, size_bytes, cap, weight in specs:
-            if runs and runs[-1][1:] == (size_bytes, cap, weight):
+        runs: list[tuple[list[t.Sequence[Link]], tuple]] = []
+        for links, *rest in specs:
+            key = tuple(rest)
+            if runs and runs[-1][1] == key:
                 runs[-1][0].append(links)
             else:
-                runs.append(([links], size_bytes, cap, weight))
-        if all(len(members) >= RING_BUNDLE_MIN_NODES
-               for members, _size, _cap, _weight in runs):
-            return runs
-        return None
+                runs.append(([links], key))
+        groups: list[tuple] = []
+        for members, key in runs:
+            handle = self.network.bundle(members)
+            if handle is None:
+                return None
+            groups.append((handle, *key))
+        return groups
 
     def _wire_plan(self) -> _WirePlan:
         """Build (once) the launch skeleton for ring/half-ring wire flows.
@@ -446,41 +412,18 @@ class TimedCollectives:
         if plan is not None:
             return plan
         cluster = self.cluster
-        m = cluster.num_nodes
-        spec = cluster.spec
         specs: list[tuple[list[Link], float | None, int]] = []
         slowest_base: float | None = None
-        if m > 1:
+        if cluster.num_nodes > 1:
             hops = self._nic_hops()
             slowest_base = min(cluster.stream_cap_bps(src_node)
                                for src_node, _hop in hops)
             for src_node, hop in hops:
                 specs.append((hop, cluster.stream_cap_bps(src_node), 1))
-            if spec.gpus_per_node > 1:
-                for fabric in self._nvlink_fabrics():
-                    specs.append(([fabric], None, 1))
-        else:
+        if cluster.num_nodes == 1 or cluster.spec.gpus_per_node > 1:
             for fabric in self._nvlink_fabrics():
                 specs.append(([fabric], None, 1))
-        mode = "flow"
-        entries: list[tuple[object, float | None, int]] | None = None
-        if len(specs) >= AGGREGATE_MIN_FLOWS:
-            mode = "batch"
-            runs: list[tuple[list[list[Link]], float | None, int]] = []
-            for links, cap, weight in specs:
-                if runs and runs[-1][1:] == (cap, weight):
-                    runs[-1][0].append(links)
-                else:
-                    runs.append(([links], cap, weight))
-            if all(len(members) >= RING_BUNDLE_MIN_NODES
-                   for members, _cap, _weight in runs):
-                handles = [(self.network.bundle(members), cap, weight)
-                           for members, cap, weight in runs]
-                if all(handle is not None
-                       for handle, _cap, _weight in handles):
-                    mode = "bundle"
-                    entries = handles
-        plan = _WirePlan(mode, specs, entries, slowest_base)
+        plan = _WirePlan(specs, self._bundle_runs(specs), slowest_base)
         self._wire_cache = plan
         return plan
 
@@ -490,38 +433,18 @@ class TimedCollectives:
 
         Identical flow set and launch order as building the spec list
         per call (NIC hops in node order, then NVLink fabrics), with the
-        plan's unscaled caps multiplied by ``cap_scale``; only the
-        per-call Python work is elided.
+        plan's unscaled caps multiplied by ``cap_scale``; a bundled plan
+        relaunches off its cached handles in O(runs).
         """
-        network = self.network
-        previous = network.flow_label
-        previous_job = network.flow_job
-        network.flow_label = label
-        if self.job is not None:
-            network.flow_job = self.job
-        try:
-            if plan.mode == "bundle":
-                assert plan.entries is not None
-                return [network.start_flow_group(
-                            handle, hop_bytes,
-                            rate_cap_bps=(None if base is None
-                                          else base * cap_scale),
-                            weight=weight)
-                        for handle, base, weight in plan.entries]
-            if plan.mode == "batch":
-                return network.start_flows(
-                    [(links, hop_bytes,
-                      None if base is None else base * cap_scale, weight)
-                     for links, base, weight in plan.specs])
-            return [network.start_flow(
-                        links, hop_bytes,
-                        rate_cap_bps=(None if base is None
-                                      else base * cap_scale),
-                        weight=weight)
-                    for links, base, weight in plan.specs]
-        finally:
-            network.flow_label = previous
-            network.flow_job = previous_job
+        if plan.runs is not None:
+            return self._start(
+                [(handle, hop_bytes,
+                  None if base is None else base * cap_scale, weight)
+                 for handle, base, weight in plan.runs], (), label)
+        return self._start(
+            None, [(links, hop_bytes,
+                    None if base is None else base * cap_scale, weight)
+                   for links, base, weight in plan.specs], label)
 
     def _slowest_stream_cap_bps(self, hops: t.Sequence[tuple[int, t.Any]],
                                 cap_scale: float) -> float:
@@ -591,20 +514,13 @@ class TimedCollectives:
 
             # Phase 2: g parallel inter-node rings on 1/g shards.  The g
             # rings of one hop are symmetric clones (same links, same
-            # cap) — at scale they collapse into one weighted flow.
+            # cap), so each hop launches as one weighted flow.
             shard_hop = ring_volume_bytes(size_bytes / g, m)
-            bundle = m >= WEIGHTED_RING_MIN_NODES
             hops = self._nic_hops()
-            specs: list[tuple[list[Link], float, float | None, int]] = []
-            for src_node, hop in hops:
-                cap = self.cluster.stream_cap_bps(src_node) * cap_scale
-                if bundle:
-                    specs.append((hop, shard_hop * g, cap, g))
-                else:
-                    specs.extend((hop, shard_hop, cap, 1)
-                                 for _local in range(g))
-            yield self.sim.all_of(self._launch(specs,
-                                               label="hierarchical"))
+            yield self.sim.all_of(self._launch(
+                [(hop, shard_hop * g,
+                  self.cluster.stream_cap_bps(src_node) * cap_scale, g)
+                 for src_node, hop in hops], label="hierarchical"))
             # Exposed overhead is paced by the slowest hop of the
             # inter-node rings (see _slowest_stream_cap_bps).
             shard_chunk_tx = (size_bytes / g / m) * 8.0 / \

@@ -46,10 +46,10 @@ Scaling to 1024–4096-rank clusters relies on three hot-path properties:
   operation that would break the symmetry — a foreign flow or a capacity
   change touching a claimed link — first splits the bundle back into
   per-member flows, so rates stay exact under faults and congestion.
-  Bundling changes the *event schedule* (fewer wakeups and completions),
-  so the timed collectives gate it to scales far above every pinned
-  golden digest (see ``RING_BUNDLE_MIN_NODES`` in
-  :mod:`repro.collectives.timed`).
+  Bundling thins the *event schedule* (fewer wakeups and completions)
+  but never moves a completion time, so the timed collectives bundle
+  every fan-out whose structure :meth:`FluidNetwork.bundle` accepts,
+  at any scale.
 
 ``start_flow(..., weight=k)`` models ``k`` identical transport streams as
 one flow: the flow counts ``k`` toward every traversed link's load,
@@ -578,9 +578,9 @@ class FluidNetwork:
 
         Note the event-schedule difference: per-flow insertion leaves one
         superseded wakeup event per intermediate allocation in the kernel
-        heap, batch insertion does not.  Callers that must preserve a
-        historical replay digest keep using :meth:`start_flow` (see
-        ``AGGREGATE_MIN_FLOWS`` in :mod:`repro.collectives.timed`).
+        heap, batch insertion does not.  Completion times are identical,
+        so the timed collectives insert every fan-out they cannot bundle
+        through this call.
         """
         if self._claims:
             self._split_claimed(

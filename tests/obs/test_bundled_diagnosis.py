@@ -10,8 +10,8 @@ findings file pins — must be bit-identical whether the fan-out ran
 bundled or as individual flows.
 """
 
-import repro.collectives.timed as timed_mod
 from repro.collectives import TimedCollectives
+from repro.collectives.timed import _WirePlan
 from repro.obs import Observability, diagnose
 from repro.obs.detectors import DetectorSuite
 from repro.obs.metrics import MetricsRegistry
@@ -86,12 +86,9 @@ class TestNetworkLevelEquivalence:
 
 
 class TestCollectiveLevelEquivalence:
-    """Same ring allreduce, with the bundling gate forced on and off."""
+    """Same ring allreduce, bundled or launched flow by flow."""
 
-    def _run(self, monkeypatch, bundle_min_nodes):
-        monkeypatch.setattr(timed_mod, "AGGREGATE_MIN_FLOWS", 2)
-        monkeypatch.setattr(timed_mod, "RING_BUNDLE_MIN_NODES",
-                            bundle_min_nodes)
+    def _run(self, bundled):
         sim = Simulator()
         net = FluidNetwork(sim)
         obs = Observability()
@@ -99,15 +96,21 @@ class TestCollectiveLevelEquivalence:
         net.diag = obs.attach_detectors()
         cluster = alibaba_v100_cluster(sim, 128, gpus_per_node=8)
         timed = TimedCollectives(sim, net, cluster, representative=False)
+        if not bundled:
+            # The same wire-plan specs, with no bundle handles: the ring
+            # launches them in one batched FluidNetwork.start_flows call.
+            plan = timed._wire_plan()
+            timed._wire_cache = _WirePlan(plan.specs, None,
+                                          plan.slowest_base)
         done = timed.allreduce(4e6, algorithm="ring")
         sim.run(until=done)
         sim.run()
         return sim.now, bool(net._claims), diagnose(obs)
 
-    def test_full_ring_diagnoses_identically(self, monkeypatch):
-        now_b, claimed_b, bundled = self._run(monkeypatch, 2)
-        now_u, claimed_u, unbundled = self._run(monkeypatch, 10**9)
-        assert claimed_b and not claimed_u  # the gate actually flipped
+    def test_full_ring_diagnoses_identically(self):
+        now_b, claimed_b, bundled = self._run(bundled=True)
+        now_u, claimed_u, unbundled = self._run(bundled=False)
+        assert claimed_b and not claimed_u  # fusion really differed
         assert now_b == now_u  # completion time is representation-free
         assert bundled.findings == unbundled.findings
         assert bundled.events == unbundled.events
