@@ -194,6 +194,8 @@ class OutcomeCell:
     congested: bool = False
     #: Crash one node mid-run (the fault probe's seed-0 schedule).
     faults: bool = False
+    #: Leaf-spine core oversubscription (1 = non-blocking fabric).
+    core_oversubscription: float = 1.0
 
     @property
     def key(self) -> str:
@@ -202,6 +204,8 @@ class OutcomeCell:
                f"-s{self.streams}")
         if self.congested:
             key += "-congested"
+        if self.core_oversubscription != 1.0:
+            key += f"-core{self.core_oversubscription:g}"
         if self.faults:
             key += "-faults"
         return key
@@ -222,8 +226,9 @@ class OutcomeProbe:
 #: The golden-outcome matrix: every collective launch shape whose host
 #: path once depended on scale — full-link rings from 16 to 64 nodes
 #: (1, 4 and 8 concurrent streams at 32), hierarchical at 4 and 32
-#: nodes with and without a congested NIC, a planner schedule and a
-#: crash-and-recover run.
+#: nodes with and without a congested NIC, a planner schedule, a
+#: crash-and-recover run, and a ring on a 4:1 oversubscribed core whose
+#: shared spine joins the per-hop flows into 32-64-flow components.
 OUTCOME_CELLS: tuple[OutcomeCell, ...] = (
     OutcomeCell("ring", 16),
     OutcomeCell("ring", 32, streams=1),
@@ -236,6 +241,7 @@ OUTCOME_CELLS: tuple[OutcomeCell, ...] = (
     OutcomeCell("hierarchical", 32, congested=True),
     OutcomeCell("halving-doubling", 16),
     OutcomeCell("ring", 4, faults=True),
+    OutcomeCell("ring", 16, core_oversubscription=4.0),
 )
 
 
@@ -244,7 +250,8 @@ def run_outcome_probe(cell: OutcomeCell, iterations: int = 2,
     """Run one golden-outcome cell on the full link set."""
     ranks = cell.nodes * OUTCOME_GPUS_PER_NODE
     if cell.faults:
-        if cell.algorithm != "ring" or cell.congested:
+        if (cell.algorithm != "ring" or cell.congested
+                or cell.core_oversubscription != 1.0):
             raise TrainingError(
                 "fault outcome cells cover the uncongested ring only")
         probe = _run_fault_probe(ranks, cell.streams, False, 0, iterations,
@@ -259,7 +266,8 @@ def run_outcome_probe(cell: OutcomeCell, iterations: int = 2,
     ctx = build_train_context(
         spec, backend, ranks, spec.default_batch_size,
         gpus_per_node=OUTCOME_GPUS_PER_NODE, congested_links=congestion,
-        representative=False, sim=sim)
+        representative=False, sim=sim,
+        core_oversubscription=cell.core_oversubscription)
     return OutcomeProbe(cell, _timed_iterations(sim, backend, ctx,
                                                 iterations))
 
