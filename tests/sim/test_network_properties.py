@@ -23,7 +23,6 @@ Invariants checked over randomly generated flow/link configurations:
    the same time as ``k`` parallel identical flows of size ``S/k``.
 """
 
-import contextlib
 import math
 
 import numpy as np
@@ -31,26 +30,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.sim.network as network_mod
 from repro.sim import FluidNetwork, Link, Simulator
 from repro.sim.network import GroupFlow, solve_rates_reference
-
-
-@contextlib.contextmanager
-def vector_threshold(value):
-    """Temporarily override the vector-solver component-size gate.
-
-    Forcing it to 2 routes even tiny components through
-    ``_solve_component_vector``, so the differential tests exercise the
-    array water-fill on every randomly generated component shape instead
-    of only on >= 24-flow ones.
-    """
-    previous = network_mod.VECTOR_SOLVE_MIN_FLOWS
-    network_mod.VECTOR_SOLVE_MIN_FLOWS = value
-    try:
-        yield
-    finally:
-        network_mod.VECTOR_SOLVE_MIN_FLOWS = previous
 
 
 @st.composite
@@ -356,92 +337,6 @@ class TestIncrementalSolverEquivalence:
         sim_b.run(until=sim_b.all_of(done_b))
 
         assert sim_a.now == pytest.approx(sim_b.now, rel=1e-9)
-
-
-class TestVectorSolverDifferential:
-    """The array water-fill must match both the oracle and the scalar loop.
-
-    ``_solve_component_vector`` claims bit-identical float operations to
-    the scalar dict loop; these tests force the vector path onto every
-    randomly generated component (see :func:`vector_threshold`) and
-    check it (a) against the from-scratch oracle at audited instants and
-    (b) bit-for-bit against a scalar-path run of the same scenario.
-    """
-
-    REL_TOL = 1e-7
-
-    @settings(max_examples=50, deadline=None)
-    @given(scenario=weighted_scenarios())
-    def test_forced_vector_rates_match_oracle(self, scenario):
-        capacities, flow_specs = scenario
-        with vector_threshold(2):
-            sim = Simulator()
-            net = FluidNetwork(sim)
-            links = [Link(f"l{i}", capacity)
-                     for i, capacity in enumerate(capacities)]
-
-            def starter(spec):
-                link_ids, size, cap, weight, start = spec
-
-                def process():
-                    yield sim.timeout(start)
-                    yield net.start_flow([links[i] for i in link_ids], size,
-                                         rate_cap_bps=cap, weight=weight)
-
-                return process()
-
-            processes = [sim.spawn(starter(spec)) for spec in flow_specs]
-            mismatches = []
-
-            def audit():
-                while True:
-                    reference = solve_rates_reference(net.flows)
-                    for flow, want in reference.items():
-                        if not math.isclose(flow.rate_bps, want,
-                                            rel_tol=self.REL_TOL,
-                                            abs_tol=1e-3):
-                            mismatches.append(
-                                (flow.flow_id, flow.rate_bps, want))
-                    yield sim.timeout(0.004)
-
-            sim.spawn(audit())
-            sim.run(until=sim.all_of(processes))
-        assert not mismatches
-
-    @settings(max_examples=50, deadline=None)
-    @given(scenario=weighted_scenarios())
-    def test_vector_and_scalar_paths_bit_identical(self, scenario):
-        capacities, flow_specs = scenario
-
-        def run(threshold):
-            with vector_threshold(threshold):
-                sim = Simulator()
-                net = FluidNetwork(sim)
-                links = [Link(f"l{i}", capacity)
-                         for i, capacity in enumerate(capacities)]
-
-                def starter(spec):
-                    link_ids, size, cap, weight, start = spec
-
-                    def process():
-                        yield sim.timeout(start)
-                        done = net.start_flow(
-                            [links[i] for i in link_ids], size,
-                            rate_cap_bps=cap, weight=weight)
-                        yield done
-                        results.append(done.value)
-
-                    return process()
-
-                results: list[float] = []
-                processes = [sim.spawn(starter(spec))
-                             for spec in flow_specs]
-                sim.run(until=sim.all_of(processes))
-                return results, sim.now
-
-        vector = run(threshold=2)
-        scalar = run(threshold=10**9)
-        assert vector == scalar  # bit-identical durations and end time
 
 
 @st.composite
