@@ -569,12 +569,12 @@ class TimedCollectives:
 
         return self.sim.spawn(run(), name=f"planned.{algorithm}")
 
-    def _after(self, event: Event, extra_delay_s: float) -> Event:
-        """An event firing ``extra_delay_s`` after ``event`` triggers."""
+    def _after(self, event: Event, delay_s: float) -> Event:
+        """An event firing ``delay_s`` after ``event`` triggers."""
         done = self.sim.event(name="after")
 
         def _chain(_ev: Event) -> None:
-            self.sim._schedule_at(self.sim.now + extra_delay_s, done, None)
+            self.sim._schedule_at(self.sim.now + delay_s, done, None)
 
         event.add_callback(_chain)
         return done
