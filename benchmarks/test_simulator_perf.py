@@ -56,10 +56,9 @@ SCENARIOS = (
     StepScenario("step-32r-4s", ranks=32, streams=4, budget_s=0.5),
     StepScenario("step-128r-4s", ranks=128, streams=4, budget_s=1.0),
     StepScenario("step-256r-4s", ranks=256, streams=4, budget_s=2.0),
-    # The 1024/4096-rank tier rides the vectorized hot state: flow
-    # bundling collapses each ring unit's 2·nodes-flow fan-out into two
-    # solver entities at every node count, so per-step cost is nearly
-    # scale-flat from 128 ranks up.
+    # The 1024/4096-rank tier rides flow bundling, which collapses each
+    # ring unit's 2·nodes-flow fan-out into two solver entities at every
+    # node count, so per-step cost is nearly scale-flat from 128 ranks up.
     StepScenario("step-1024r-4s", ranks=1024, streams=4, budget_s=2.0),
     StepScenario("step-4096r-4s", ranks=4096, streams=4, budget_s=4.0),
     StepScenario("stress-256r-hier", ranks=256, streams=24,

@@ -1,7 +1,7 @@
 """Bundled fan-outs must diagnose identically to unbundled ones.
 
-The vectorized hot state lets the fluid network fuse a homogeneous ring
-fan-out into one :class:`~repro.sim.network.GroupFlow` solver entity.
+Flow bundling lets the fluid network fuse a homogeneous ring fan-out
+into one :class:`~repro.sim.network.GroupFlow` solver entity.
 That fusion is a performance representation only: the observability
 layer unrolls groups member by member (``member_link_sets``), so every
 per-link utilisation integral, flow record and therefore every

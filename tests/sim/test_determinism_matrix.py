@@ -71,8 +71,8 @@ MATRIX = [
     # through the fluid network's multi-phase planned path, so its event
     # schedule gets the same cross-commit pin as the legacy algorithms.
     {"ranks": 8, "streams": 4, "faults": False, "algorithm": "ina"},
-    # Large-scale cell: pins the vectorized-hot-state tier (array-backed
-    # flow table, pooled wakeup events) at 1024 ranks.  Symmetric, so it
+    # Large-scale cell: pins the bundled-fan-out tier (GroupFlow solver
+    # entities, pooled wakeup events) at 1024 ranks.  Symmetric, so it
     # runs in representative mode — cheap enough for the matrix while
     # still covering the 128-node schedule's event stream.
     {"ranks": 1024, "streams": 4, "faults": False},

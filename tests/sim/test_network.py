@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.sim import FluidNetwork, Link, Simulator
+from repro.sim.network import GroupFlow
 
 
 def make_net(capacity_bps=1e9, latency_s=0.0):
@@ -261,3 +262,83 @@ class TestDynamicCapacity:
         net.set_link_capacity(link, 100e9)
         sim.run(until=done)
         assert sim.now == pytest.approx(8.0)
+
+
+class TestCompletionOrder:
+    """Same-instant completions fire in flow-creation order.
+
+    Replay digests depend on it: completion events are scheduled in the
+    order the completion sweep visits the flow set.  Every flow below is
+    alone on its link and all sizes and times are dyadic, so the
+    completions land on exactly the same float instant.
+    """
+
+    @staticmethod
+    def watch(net):
+        """Record (flow_id, time) as each live flow's done event fires."""
+        fired = []
+        for flow in net.flows:
+            flow.done.add_callback(
+                lambda _ev, fid=flow.flow_id: fired.append(
+                    (fid, net.sim.now)))
+        return fired
+
+    def test_order_survives_many_retired_flows(self):
+        sim = Simulator()
+        net = FluidNetwork(sim)
+        links = [Link(f"l{i}", 8e9) for i in range(84)]
+        # Long flows around a burst of 80 short ones (0.0625 s each)
+        # that retire together, leaving live flows on both sides of
+        # the retired ones.
+        net.start_flows([([links[0]], 1e9, None, 1),
+                         ([links[1]], 1e9, None, 1)])
+        net.start_flows([([links[2 + i]], 6.25e7, None, 1)
+                         for i in range(80)])
+        net.start_flow([links[82]], 1e9)
+        late = []
+
+        def arrive():
+            yield sim.timeout(0.5)
+            late.append(net.start_flow([links[83]], 5e8))
+
+        sim.spawn(arrive())
+        sim.run(until=0.25)
+        assert len(net.flows) == 3  # the 80 short flows are gone
+        sim.run(until=0.75)
+        assert late and len(net.flows) == 4
+        fired = self.watch(net)
+        sim.run()
+        ids = [fid for fid, _now in fired]
+        assert len(ids) == 4
+        assert ids == sorted(ids)
+        assert {now for _fid, now in fired} == {1.0}
+
+    def test_order_survives_bundle_split_mid_set(self):
+        sim = Simulator()
+        net = FluidNetwork(sim)
+        links = [Link(f"l{i}", 8e9) for i in range(9)]
+        net.start_flows([([links[0]], 1e9, None, 1),
+                         ([links[1]], 1e9, None, 1)])
+        group_done = net.start_flow_group(
+            [[link] for link in links[2:6]], 1e9)
+        net.start_flows([([links[6]], 1e9, None, 1),
+                         ([links[7]], 1e9, None, 1)])
+        assert sum(isinstance(f, GroupFlow) for f in net.flows) == 1
+
+        def split_then_arrive():
+            yield sim.timeout(0.5)
+            # Same capacity: only the bundle's symmetry claim breaks.
+            net.set_link_capacity(links[2], 8e9)
+            net.start_flow([links[8]], 5e8)
+
+        sim.spawn(split_then_arrive())
+        sim.run(until=0.75)
+        assert not any(isinstance(f, GroupFlow) for f in net.flows)
+        assert len(net.flows) == 9  # 4 plain + 4 members + 1 late
+        fired = self.watch(net)
+        sim.run()
+        ids = [fid for fid, _now in fired]
+        assert len(ids) == 9
+        assert ids == sorted(ids)
+        assert {now for _fid, now in fired} == {1.0}
+        assert group_done.triggered

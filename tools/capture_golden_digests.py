@@ -33,8 +33,8 @@ GOLDEN_CELLS: tuple[dict, ...] = tuple(
     # Planner-backend cell (in-network aggregation schedule).
     {"ranks": 8, "streams": 4, "faults": False, "invariants": True,
      "seed": 0, "algorithm": "ina"},
-    # Large-scale cell: 1024 ranks pins the vectorized-hot-state tier
-    # (array-backed flow table, pooled wakeups) at the scale the
+    # Large-scale cell: 1024 ranks pins the bundled-fan-out tier
+    # (GroupFlow solver entities, pooled wakeups) at the scale the
     # flow-bundling work targets.  Symmetric, so it runs in
     # representative mode — cheap enough for the test matrix while
     # still covering the 128-node schedule's event stream.
