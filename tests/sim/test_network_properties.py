@@ -477,3 +477,36 @@ class TestBundleBoundaries:
         now_u, bits_u = run(bundled=False)
         assert now_b == pytest.approx(now_u, rel=1e-9)
         assert bits_b == pytest.approx(bits_u, rel=1e-9)
+
+    @pytest.mark.parametrize("shape", ["bundled", "split", "fallback"])
+    def test_cancel_group_retires_every_member(self, shape):
+        # Whatever form the fan-out took, the one event the caller holds
+        # must cancel all of it: the members stop using bandwidth and the
+        # foreign flow sharing member 0's link runs alone afterwards.
+        sim = Simulator()
+        net = FluidNetwork(sim)
+        links = [Link(f"l{i}", 8e9) for i in range(4)]
+        fanout = [[link] for link in links]
+        foreign = None
+        if shape == "fallback":  # occupied member link: never bundles
+            foreign = net.start_flow([links[0]], 1e9)
+        done = net.start_flow_group(fanout, 1e9)
+        if shape == "split":  # a foreign arrival splits the bundle
+            foreign = net.start_flow([links[0]], 1e9)
+        bundled = sum(isinstance(f, GroupFlow) for f in net.flows)
+        assert bundled == (1 if shape == "bundled" else 0)
+        cancelled = []
+
+        def fault():
+            yield sim.timeout(0.25)
+            cancelled.append(net.cancel_flow(done))
+            cancelled.append(net.cancel_flow(done))
+
+        sim.spawn(fault())
+        sim.run(until=foreign if foreign is not None else 2.0)
+        assert cancelled == [True, False]
+        assert not done.triggered
+        assert not net.flows
+        if foreign is not None:
+            # 1 Gbit sent at the 4 Gbps fair share, 7 Gbit alone at 8.
+            assert sim.now == pytest.approx(0.25 + 7 / 8)
