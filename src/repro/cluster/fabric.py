@@ -71,7 +71,8 @@ class SharedFabric:
         Ring traffic: each of the ``m`` members forwards
         ``2 (m-1)/m x nbytes`` to its successor, split over ``streams``
         transport streams (one weighted flow per hop; the per-stream cap
-        scaled by the overload controller's ``cap_scale``).
+        scaled by the overload controller's ``cap_scale``).  The hops
+        enter the network in one batched ``start_flows`` call.
         """
         members = list(nodes)
         if len(members) < 2:
@@ -91,12 +92,10 @@ class SharedFabric:
         network.flow_job = job_id
         network.flow_label = label
         try:
-            events = [
-                network.start_flow(
-                    [self.nic_out[src], self.core, self.nic_in[dst]],
-                    hop_bytes, rate_cap_bps=cap, weight=streams)
-                for src, dst in zip(members,
-                                    members[1:] + members[:1])]
+            events = network.start_flows([
+                ([self.nic_out[src], self.core, self.nic_in[dst]],
+                 hop_bytes, cap, streams)
+                for src, dst in zip(members, members[1:] + members[:1])])
         finally:
             network.flow_job = previous_job
             network.flow_label = previous_label
