@@ -48,6 +48,13 @@ over the insertion-ordered flow set.
 one flow: the flow counts ``k`` toward every traversed link's load,
 receives ``k`` fair shares, and its ``rate_cap_bps`` applies per stream.
 
+One fill loop serves every component, over per-flow share weights
+(:func:`share_weights`): the stream weight when all flows belong to one
+tenant (``Flow.job``), else ``priority(job) * weight / W_job`` with
+``W_job`` the tenant's stream weight in the component.  Jobs behind one
+bottleneck split it by priority, and the fill stays a weighted max-min:
+every flow ends at its cap or on a saturated link.
+
 Capacities and rates are in **bits per second**, sizes in **bits**,
 consistent with the rest of :mod:`repro.sim` (time in seconds).
 """
@@ -183,12 +190,13 @@ class Flow:
         #: placed this flow); surfaces in flow telemetry, never in rates.
         self.label = label
         #: Owning tenant (``job_id``) on a shared multi-job fabric.
-        #: Unlike ``label`` this *does* shape rate assignment: when a
-        #: bottleneck component mixes flows of two or more jobs, the
-        #: solver switches to two-level fairness (between jobs first,
-        #: weighted by :attr:`FluidNetwork.job_priorities`, then among
-        #: each job's flows).  ``None`` everywhere keeps the classic
-        #: single-tenant solver paths bit-identical.
+        #: Unlike ``label`` this *does* shape rate assignment: in a
+        #: bottleneck component that mixes flows of two or more jobs,
+        #: each flow's share weight becomes its job's priority
+        #: (:attr:`FluidNetwork.job_priorities`) times its part of the
+        #: job's stream weight there (:func:`share_weights`).  A
+        #: component of one job, or of untagged flows only, fills on
+        #: stream weights exactly as if no flow were tagged.
         self.job = job
         self.remaining_bits = self.size_bits
         self.rate_bps = 0.0
@@ -294,55 +302,112 @@ class _BundleChannel:
         self.claimed = True
 
 
-def solve_rates_reference(flows: t.Iterable[Flow]) -> dict[Flow, float]:
+def share_weights(component: t.Sequence[Flow],
+                  job_priorities: t.Mapping[str, float]
+                  ) -> dict[Flow, float] | None:
+    """Per-flow share weights of one bottleneck component, or ``None``.
+
+    A component whose flows all carry one ``job`` tag (untagged counts
+    as one tag) returns ``None``: each flow takes ``weight`` shares, the
+    classic single-tenant definition.  A component that mixes jobs
+    gives flow ``f`` of job ``j`` the share weight
+    ``priority(j) * f.weight / W_j``, where ``W_j`` is job ``j``'s total
+    stream weight in the component: the jobs' share weights sum to
+    their priorities, and each job splits its part by stream weight.
+    Untagged flows pool as one pseudo-job; a job absent from
+    ``job_priorities`` has priority 1.0.
+    """
+    job = component[0].job
+    for flow in component:
+        if flow.job != job:
+            break
+    else:
+        return None
+    totals: dict[str | None, int] = {}
+    for flow in component:
+        totals[flow.job] = totals.get(flow.job, 0) + flow.weight
+    return {flow: job_priorities.get(flow.job, 1.0) * flow.weight
+            / totals[flow.job] for flow in component}
+
+
+def solve_rates_reference(flows: t.Iterable[Flow],
+                          job_priorities: t.Mapping[str, float] | None = None
+                          ) -> dict[Flow, float]:
     """From-scratch global max-min fair allocation (the oracle solver).
 
-    This is the pre-incremental algorithm, kept verbatim (modulo weight
-    support) as the reference the property-based tests compare the
-    incremental solver against.  It does not mutate any flow; it returns
-    the rate every active flow *should* carry given the current link
-    capacities and memberships.
+    This is the pre-incremental algorithm, kept as the reference the
+    property-based tests compare the incremental solver against.  It
+    does not mutate any flow; it returns the rate every active flow
+    *should* carry given the current link capacities and memberships.
+
+    Without ``job_priorities`` every flow takes ``weight`` shares.  With
+    it (the network's :attr:`FluidNetwork.job_priorities`), the oracle
+    finds the bottleneck components itself and gives the flows of each
+    component that mixes jobs their :func:`share_weights`.
     """
     unassigned: dict[Flow, None] = dict.fromkeys(flows)
+    shares: dict[Flow, float] = {flow: flow.weight for flow in unassigned}
+    if job_priorities is not None:
+        for component in _components(unassigned):
+            mixed = share_weights(component, job_priorities)
+            if mixed is not None:
+                shares.update(mixed)
     residual = {link: link.capacity_bps
                 for flow in unassigned for link in flow.links}
-    load = {link: 0 for link in residual}
+    load = {link: 0.0 for link in residual}
+    live = {link: 0 for link in residual}
     for flow in unassigned:
         for link in flow.links:
-            load[link] += flow.weight
+            load[link] += shares[flow]
+            live[link] += 1
+    caps = {flow: flow.rate_cap_bps * flow.weight / shares[flow]
+            for flow in unassigned if flow.rate_cap_bps is not None}
     rates: dict[Flow, float] = {}
 
-    def fix(flow: Flow, per_stream_rate: float) -> None:
-        rate = max(0.0, per_stream_rate)
-        rates[flow] = rate if flow.weight == 1 else rate * flow.weight
+    def fix(flow: Flow, per_share_rate: float) -> None:
+        rates[flow] = max(0.0, per_share_rate) * shares[flow]
         unassigned.pop(flow, None)
         for link in flow.links:
             residual[link] = max(0.0, residual[link] - rates[flow])
-            load[link] -= flow.weight
+            load[link] -= shares[flow]
+            live[link] -= 1
 
     while unassigned:
         share = math.inf
         for link, cap in residual.items():
-            if load[link] > 0:
+            if live[link] > 0:
                 share = min(share, cap / load[link])
         if share is math.inf:  # pragma: no cover - defensive
             raise NetworkError("active flows traverse no loaded link")
         capped = [f for f in unassigned
-                  if f.rate_cap_bps is not None
-                  and f.rate_cap_bps <= share * (1 + _EPS)]
+                  if caps.get(f, math.inf) <= share * (1 + _EPS)]
         if capped:
             for flow in capped:
-                fix(flow, flow.rate_cap_bps)
+                fix(flow, caps[flow])
             continue
         bottlenecked = [
             f for f in unassigned
-            if any(load[l] > 0
-                   and residual[l] / load[l] <= share * (1 + _EPS)
+            if any(residual[l] / load[l] <= share * (1 + _EPS)
                    for l in f.links)
         ]
         for flow in bottlenecked:
             fix(flow, share)
     return rates
+
+
+def _components(flows: t.Iterable[Flow]) -> list[list[Flow]]:
+    """Group ``flows`` into bottleneck components (flows sharing links)."""
+    group_of: dict[Link, list[Flow]] = {}
+    for flow in flows:
+        group = [flow]
+        for link in flow.links:
+            other = group_of.get(link, group)
+            if other is not group:
+                group += other
+                for member in other:
+                    group_of.update(dict.fromkeys(member.links, group))
+        group_of.update(dict.fromkeys(flow.links, group))
+    return list({id(group): group for group in group_of.values()}.values())
 
 
 class FluidNetwork:
@@ -406,13 +471,15 @@ class FluidNetwork:
         #: observational: it never influences rate assignment.
         self.flow_label: str | None = None
         #: Tenant tag stamped on every flow created while set (the
-        #: cluster runtime sets it around each job's launches).  Flows
-        #: of different jobs meeting on a shared link are rate-split by
-        #: two-level fairness — see :meth:`_solve_component_jobs`.
+        #: cluster runtime sets it around each job's launches).  It sets
+        #: the flow's share weight in components that mix jobs — see
+        #: :attr:`Flow.job` and :func:`share_weights`.
         self.flow_job: str | None = None
-        #: ``job_id -> priority weight`` for inter-job fairness at
-        #: shared links.  Jobs absent from the map (and untagged flows,
-        #: which pool under one pseudo-job) weigh 1.0.
+        #: ``job_id -> priority`` for inter-job fairness: in a component
+        #: that mixes jobs, each job's flows take shares summing to its
+        #: priority, so jobs behind one bottleneck get rates in that
+        #: proportion.  Jobs absent from the map (and untagged flows,
+        #: which pool under one pseudo-job) have priority 1.0.
         self.job_priorities: dict[str, float] = {}
 
     # -- public API -------------------------------------------------------
@@ -431,29 +498,15 @@ class FluidNetwork:
         transfer duration in seconds.
         """
         _check_transfer(size_bytes, rate_cap_bps)
-        done = self.sim.event(name="flow.done")
-        latency = sum(link.latency_s for link in links)
         if size_bytes <= 0:
             # Pure-latency "transfer" (e.g. a control message of negligible
             # size); never enters the rate allocator.
+            done = self.sim.event(name="flow.done")
+            latency = sum(link.latency_s for link in links)
             self.sim._schedule_at(self.sim.now + latency, done, latency)
             return done
-        if self._claims:
-            self._split_claimed(links)
-        self._advance_progress()
-        flow = Flow(links, size_bytes * 8.0, rate_cap_bps, done,
-                    self.sim.now, tail_latency_s=latency, weight=weight,
-                    label=self.flow_label, job=self.flow_job)
-        if flow.size_bits <= _COMPLETE_BITS:
-            self._maybe_finished = True
-        self.flows[flow] = None
-        dirty = self._dirty_links
-        for link in flow.links:
-            link.flows[flow] = None
-            link.load += weight
-            dirty[link] = None
-        self._reallocate()
-        return done
+        return self._start_flows(
+            [(links, size_bytes, rate_cap_bps, weight)])[0]
 
     def start_flows(self, requests: t.Sequence[tuple[
             t.Sequence[Link], float, float | None, int]]) -> list[Event]:
@@ -903,7 +956,7 @@ class FluidNetwork:
                 self._solve_component(flows_seen)
 
     def _solve_component(self, flows_seen: dict[Flow, None]) -> None:
-        """Water-fill one bottleneck component (in flow-creation order)."""
+        """Water-fill one bottleneck component over :func:`share_weights`."""
         if len(flows_seen) == 1:
             # Fast path: a flow alone on its links (the common case on a
             # non-blocking fabric, where every NIC pair is its own
@@ -930,160 +983,65 @@ class FluidNetwork:
         # Global creation order makes the per-link arithmetic match a
         # from-scratch global solve exactly.
         component = sorted(flows_seen, key=lambda f: f.flow_id)
-        jobs = {flow.job for flow in component}
-        if len(jobs) > 1:
-            # The component mixes tenants: rates come from two-level
-            # fairness (between jobs first, then within each job).
-            # Single-tenant and untagged components never reach this
-            # branch, so the classic loop below stays bit-identical.
-            self._solve_component_jobs(component)
-            return
-        unassigned: dict[Flow, None] = dict.fromkeys(component)
+        shares = share_weights(component, self.job_priorities)
+        # Unfixed flow -> share weight, unfixed capped flow -> cap per
+        # share.  One tenant keeps integer weights and exact caps.
+        if shares is None:
+            unassigned = {flow: flow.weight for flow in component}
+            caps = {flow: flow.rate_cap_bps for flow in component
+                    if flow.rate_cap_bps is not None}
+        else:
+            unassigned = shares
+            caps = {flow: flow.rate_cap_bps * flow.weight / shares[flow]
+                    for flow in component if flow.rate_cap_bps is not None}
+        # Per link with unfixed flows: residual capacity, their share
+        # weight and their count.  The integer count retires a link, so
+        # a float residue in its share weight never offers a share.
         residual: dict[Link, float] = {}
-        load: dict[Link, int] = {}
-        for flow in unassigned:
+        load: dict[Link, float] = {}
+        live: dict[Link, int] = {}
+        for flow in component:
             for link in flow.links:
                 if link not in residual:
                     residual[link] = link.capacity_bps
-                    load[link] = link.load
-        fix_rate = self._fix_rate
+                    live[link] = len(link.flows)
+                    load[link] = link.load if shares is None \
+                        else sum(shares[f] for f in link.flows)
 
         while unassigned:
             # Fair share currently offered by the most constrained link.
             share = math.inf
-            for link, cap in residual.items():
-                if load[link] > 0:
-                    share = min(share, cap / load[link])
+            for link, left in residual.items():
+                offer = left / load[link]
+                if offer < share:
+                    share = offer
             if share is math.inf:  # pragma: no cover - defensive
                 raise NetworkError("active flows traverse no loaded link")
-
+            limit = share * (1 + _EPS)
             # Flows whose cap is below the fair share take their cap and
-            # release the surplus to everyone else.
-            capped = [f for f in unassigned
-                      if f.rate_cap_bps is not None
-                      and f.rate_cap_bps <= share * (1 + _EPS)]
-            if capped:
-                for flow in capped:
-                    fix_rate(flow, flow.rate_cap_bps, unassigned,
-                             residual, load)
-                continue
-
-            # Otherwise freeze every flow crossing a bottleneck link.
-            bottlenecked = [
-                f for f in unassigned
-                if any(load[l] > 0
-                       and residual[l] / load[l] <= share * (1 + _EPS)
-                       for l in f.links)
-            ]
-            for flow in bottlenecked:
-                fix_rate(flow, share, unassigned, residual, load)
-
-    def _solve_component_jobs(self, component: list[Flow]) -> None:
-        """Two-level (inter-job, then intra-job) water-fill.
-
-        On a shared multi-tenant fabric, fairness must hold *between
-        jobs* at every shared link, not between individual flows: a job
-        that opens 16 streams must not crowd out a neighbour running 2.
-        Each filling round offers every unassigned flow a per-stream
-        rate derived hierarchically — the link's residual capacity is
-        split between the jobs present (proportional to
-        :attr:`job_priorities`, default 1.0; untagged flows pool under
-        one pseudo-job), and each job's share is split over its own
-        streams by flow weight.  Flows whose per-stream cap sits below
-        their offer take the cap; otherwise the flows at the lowest
-        offer (their bottleneck is exhausted at that level) are frozen
-        and their bandwidth debited.  Each round fixes at least one
-        flow, and released surplus is re-offered to the survivors in
-        later rounds, so the filling is work-conserving.
-
-        Only components whose flows span two or more distinct job tags
-        are solved here; everything else takes the classic paths, which
-        keeps all single-tenant replay digests bit-identical.
-        """
-        priorities = self.job_priorities
-        unassigned: dict[Flow, None] = dict.fromkeys(component)
-        residual: dict[Link, float] = {}
-        for flow in unassigned:
-            for link in flow.links:
-                if link not in residual:
-                    residual[link] = link.capacity_bps
-
-        while unassigned:
-            # Per-link hierarchy over the surviving flows: which jobs
-            # are present, and each job's total stream weight there.
-            link_jobs: dict[Link, dict[str, float]] = {}
-            for flow in unassigned:
-                tenant = flow.job if flow.job is not None else "-"
+            # release the surplus to everyone else; otherwise every flow
+            # crossing a bottleneck link is frozen at the share.
+            frozen = [(f, cap) for f, cap in caps.items() if cap <= limit]
+            if not frozen:
+                frozen = [(f, share) for f in unassigned
+                          if any(residual[l] / load[l] <= limit
+                                 for l in f.links)]
+            for flow, per_share in frozen:
+                caps.pop(flow, None)
+                weight = unassigned.pop(flow)
+                rate = (per_share if per_share > 0.0 else 0.0) * weight
+                flow.rate_bps = rate
+                flow._finish_s = (flow.remaining_bits / rate
+                                  if rate > 0 else math.inf)
                 for link in flow.links:
-                    weights = link_jobs.setdefault(link, {})
-                    weights[tenant] = weights.get(tenant, 0.0) + flow.weight
-            prio_sum: dict[Link, float] = {
-                link: sum(priorities.get(tenant, 1.0) for tenant in weights)
-                for link, weights in link_jobs.items()
-            }
-            offers: dict[Flow, float] = {}
-            for flow in unassigned:
-                tenant = flow.job if flow.job is not None else "-"
-                prio = priorities.get(tenant, 1.0)
-                offer = math.inf
-                for link in flow.links:
-                    weights = link_jobs[link]
-                    per_stream = (residual[link] * prio / prio_sum[link]
-                                  / weights[tenant])
-                    if per_stream < offer:
-                        offer = per_stream
-                offers[flow] = offer
-
-            capped = [f for f in unassigned
-                      if f.rate_cap_bps is not None
-                      and f.rate_cap_bps <= offers[f] * (1 + _EPS)]
-            if capped:
-                for flow in capped:
-                    self._fix_rate_hierarchical(flow, flow.rate_cap_bps,
-                                                unassigned, residual)
-                continue
-            floor = min(offers.values())
-            frozen = [f for f in unassigned
-                      if offers[f] <= floor * (1 + _EPS)]
-            for flow in frozen:
-                self._fix_rate_hierarchical(flow, offers[flow],
-                                            unassigned, residual)
-
-    @staticmethod
-    def _fix_rate_hierarchical(flow: Flow, per_stream_rate: float,
-                               unassigned: dict[Flow, None],
-                               residual: dict[Link, float]) -> None:
-        """Freeze one flow's rate in the two-level filling.
-
-        Like :meth:`_fix_rate`, but the hierarchical solver rebuilds
-        its per-link job weights every round instead of carrying the
-        integer load cache (per-job shares are not expressible as a
-        single load count).
-        """
-        rate = per_stream_rate if per_stream_rate > 0.0 else 0.0
-        if flow.weight != 1:
-            rate *= flow.weight
-        flow.rate_bps = rate
-        flow._finish_s = flow.remaining_bits / rate if rate > 0 else math.inf
-        unassigned.pop(flow, None)
-        for link in flow.links:
-            left = residual[link] - rate
-            residual[link] = left if left > 0.0 else 0.0
-
-    @staticmethod
-    def _fix_rate(flow: Flow, per_stream_rate: float,
-                  unassigned: dict[Flow, None],
-                  residual: dict[Link, float], load: dict[Link, int]) -> None:
-        rate = per_stream_rate if per_stream_rate > 0.0 else 0.0
-        if flow.weight != 1:
-            rate *= flow.weight
-        flow.rate_bps = rate
-        flow._finish_s = flow.remaining_bits / rate if rate > 0 else math.inf
-        unassigned.pop(flow, None)
-        for link in flow.links:
-            left = residual[link] - rate
-            residual[link] = left if left > 0.0 else 0.0
-            load[link] -= flow.weight
+                    count = live[link] - 1
+                    if count:
+                        live[link] = count
+                        left = residual[link] - rate
+                        residual[link] = left if left > 0.0 else 0.0
+                        load[link] -= weight
+                    else:
+                        del live[link], residual[link], load[link]
 
     def _retire_flow(self, flow: Flow) -> None:
         """Remove one entity from the flow set and its links.
