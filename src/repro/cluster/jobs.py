@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import typing as t
 
 import numpy as np
@@ -67,6 +68,15 @@ class JobSpec:
         if self.num_nodes < 1:
             raise ClusterError(
                 f"job {self.job_id!r}: num_nodes must be >= 1")
+        # NaN fails every comparison below, and an infinite priority or
+        # payload would skew the water-fill silently.
+        for name in ("priority", "arrival_s", "compute_s",
+                     "bytes_per_step"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ClusterError(
+                    f"job {self.job_id!r}: {name} must be finite, "
+                    f"got {value}")
         if self.priority <= 0:
             raise ClusterError(
                 f"job {self.job_id!r}: priority must be positive")

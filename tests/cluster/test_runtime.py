@@ -17,7 +17,7 @@ from repro.cluster import (
     three_job_scenario,
 )
 from repro.errors import AdmissionRejected, ClusterError
-from repro.sim.faults import FaultPlan, NodeCrash
+from repro.sim.faults import BandwidthDegradation, FaultPlan, NodeCrash
 
 
 def small_config(**overrides):
@@ -95,6 +95,43 @@ class TestIsolation:
             "aea42149d0d935ce8d2d84bb3ca89582"
 
 
+def shared_core_scenario():
+    """Three tenants on one core link while one tenant's NIC is degraded.
+
+    ``urgent`` (priority 2, 2 streams) runs its first steps on a node
+    whose NIC is cut to 30%, so it cannot use its priority share of the
+    core; ``bulk`` (priority 1, 8 streams) is limited only by its NICs.
+    """
+    specs = [
+        JobSpec(job_id="bulk", num_nodes=2, priority=1.0, steps=8,
+                num_streams=8, seed=0, compute_s=0.04, bytes_per_step=48e6),
+        JobSpec(job_id="urgent", model="vgg16", num_nodes=2, priority=2.0,
+                steps=8, num_streams=2, seed=1, compute_s=0.04,
+                bytes_per_step=48e6),
+        JobSpec(job_id="small", num_nodes=2, priority=1.0, steps=8,
+                num_streams=2, seed=2, compute_s=0.05, bytes_per_step=32e6),
+    ]
+    chaos = {"urgent": FaultPlan([BandwidthDegradation(
+        at_s=0.0, node=0, fraction=0.3, duration_s=0.5)])}
+    return ClusterRuntime(specs, chaos=chaos)
+
+
+class TestSharedCore:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return shared_core_scenario().run()
+
+    def test_unused_core_share_goes_to_neighbours(self, result):
+        # bulk's hops run at its NIC rate in every step, the degraded
+        # window included: the share urgent cannot use is not idle.
+        step_times = result.jobs["bulk"]["step_times"]
+        assert step_times == pytest.approx([0.04 + 48e6 * 8 / 10e9] * 8)
+
+    def test_pinned_golden_shared_core_digest(self, result):
+        assert result.cluster_digest == \
+            "f8cc98ab077675f9b05cb642c31318d5"
+
+
 class TestAdmission:
     def test_oversized_job_is_rejected_with_typed_finding(self):
         runtime = ClusterRuntime(
@@ -148,6 +185,18 @@ class TestRuntimeValidation:
         with pytest.raises(ClusterError):
             ClusterRuntime([JobSpec(job_id="a", num_nodes=2)],
                            chaos={"a": plan})
+
+    @pytest.mark.parametrize("field,value", [
+        ("priority", float("nan")),
+        ("priority", float("inf")),
+        ("arrival_s", float("inf")),
+        ("compute_s", float("nan")),
+        ("bytes_per_step", float("nan")),
+        ("bytes_per_step", float("inf")),
+    ])
+    def test_non_finite_spec_rejected(self, field, value):
+        with pytest.raises(ClusterError, match=field):
+            JobSpec(job_id="a", **{field: value})
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(ClusterError):
